@@ -17,16 +17,11 @@
 //     re-resolve through the name-service takeover and the survivors
 //     rebuild around the dead node.
 //
-// Every timed cell re-checks the determinism contract: the parallel
-// engine must reproduce the serial checksum, simulated time, and drained
-// fabric counters bit-for-bit.
-//
 // Usage: ablation_fabric_fault [--quick] [--json PATH]
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "sim/engine.hpp"
 #include "workloads/multinode.hpp"
 
 namespace xemem {
@@ -34,27 +29,6 @@ namespace {
 
 using workloads::MultinodeParams;
 using workloads::MultinodeResult;
-
-u64 mix(u64 h, u64 v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-u64 fold_fabric(const FabricStats& f) {
-  u64 h = 0;
-  h = mix(h, f.fabric_drops);
-  h = mix(h, f.fabric_dups);
-  h = mix(h, f.fabric_delayed);
-  h = mix(h, f.fabric_retransmits);
-  h = mix(h, f.fabric_dedup);
-  h = mix(h, f.fabric_stale);
-  h = mix(h, f.fabric_probes);
-  h = mix(h, f.fabric_acks);
-  h = mix(h, f.fabric_node_failures);
-  h = mix(h, f.collectives_failed);
-  h = mix(h, f.rebuilds);
-  return h;
-}
 
 struct Row {
   std::string section;
@@ -71,7 +45,6 @@ struct Row {
   u64 reresolves{0};
   u32 survivors{0};
   bool clean{false};
-  bool engines_agree{false};
 };
 
 MultinodeParams coll_params(u32 nodes, bool quick) {
@@ -95,16 +68,8 @@ MultinodeParams io_params(u32 nodes, bool quick) {
   return p;
 }
 
-/// Run serial and parallel:2 and check bit-identical results; the serial
-/// run populates the row.
-Row run_cell(const char* section, MultinodeParams p, bool io_world) {
-  p.kind = sim::EngineKind::serial;
-  p.workers = 1;
+Row run_cell(const char* section, const MultinodeParams& p, bool io_world) {
   const MultinodeResult a = io_world ? workloads::run_multinode_iocache(p)
-                                     : workloads::run_multinode_collectives(p);
-  p.kind = sim::EngineKind::parallel;
-  p.workers = 2;
-  const MultinodeResult b = io_world ? workloads::run_multinode_iocache(p)
                                      : workloads::run_multinode_collectives(p);
   Row row;
   row.section = section;
@@ -119,26 +84,23 @@ Row run_cell(const char* section, MultinodeParams p, bool io_world) {
   row.reresolves = a.reresolves;
   row.survivors = a.survivors;
   row.clean = a.clean;
-  row.engines_agree = a.checksum == b.checksum && a.sim_ms == b.sim_ms &&
-                      fold_fabric(a.fabric) == fold_fabric(b.fabric) &&
-                      a.survivors == b.survivors;
   return row;
 }
 
 void print_rows(const std::vector<Row>& rows) {
-  std::printf("%-10s %5s %6s %6s %9s %9s %7s %7s %7s %7s %6s %5s %6s\n",
+  std::printf("%-10s %5s %6s %6s %9s %9s %7s %7s %7s %7s %6s %5s\n",
               "section", "nodes", "loss", "crash", "sim_ms", "base_ms",
-              "drops", "retx", "nfail", "rebuild", "surv", "clean", "engeq");
+              "drops", "retx", "nfail", "rebuild", "surv", "clean");
   for (const auto& r : rows) {
     std::printf(
         "%-10s %5u %6.2f %6.2f %9.3f %9.3f %7llu %7llu %7llu %7llu %6u "
-        "%5s %6s\n",
+        "%5s\n",
         r.section.c_str(), r.nodes, r.loss, r.crash_frac, r.sim_ms,
         r.base_sim_ms, static_cast<unsigned long long>(r.drops),
         static_cast<unsigned long long>(r.retransmits),
         static_cast<unsigned long long>(r.node_failures),
         static_cast<unsigned long long>(r.rebuilds), r.survivors,
-        r.clean ? "yes" : "NO", r.engines_agree ? "yes" : "NO");
+        r.clean ? "yes" : "NO");
   }
 }
 
@@ -158,7 +120,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         "\"crash_frac\": %.2f, \"sim_ms\": %.4f, \"base_sim_ms\": %.4f, "
         "\"drops\": %llu, \"retransmits\": %llu, \"dedup\": %llu, "
         "\"node_failures\": %llu, \"rebuilds\": %llu, \"reresolves\": %llu, "
-        "\"survivors\": %u, \"clean\": %s, \"engines_agree\": %s}%s\n",
+        "\"survivors\": %u, \"clean\": %s}%s\n",
         r.section.c_str(), r.nodes, r.loss, r.crash_frac, r.sim_ms,
         r.base_sim_ms, static_cast<unsigned long long>(r.drops),
         static_cast<unsigned long long>(r.retransmits),
@@ -166,8 +128,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         static_cast<unsigned long long>(r.node_failures),
         static_cast<unsigned long long>(r.rebuilds),
         static_cast<unsigned long long>(r.reresolves), r.survivors,
-        r.clean ? "true" : "false", r.engines_agree ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
+        r.clean ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"all_checks_passed\": %s\n}\n",
                passed ? "true" : "false");
@@ -197,7 +158,7 @@ int main(int argc, char** argv) {
       "Ablation: fabric fault injection and survivable collectives",
       "extension beyond the paper — lossy inter-node links behind a "
       "seq/ack/retransmit layer, ULFM-style fail-fast collectives with "
-      "communicator rebuild; bit-identical per seed on both engines");
+      "communicator rebuild; bit-identical per seed");
 
   std::vector<Row> rows;
 
@@ -207,7 +168,6 @@ int main(int argc, char** argv) {
             : std::vector<double>{0.0, 0.02, 0.05, 0.10};
   const std::vector<u32> node_counts =
       quick ? std::vector<u32>{3} : std::vector<u32>{2, 3, 4};
-  bool loss_engines_agree = true;
   bool loss_all_complete = true;
   bool lossless_has_no_retx = true;
   bool lossy_retransmits = true;
@@ -224,7 +184,6 @@ int main(int argc, char** argv) {
       Row r = run_cell("loss", p, /*io_world=*/false);
       if (loss == 0.0) base_ms = r.sim_ms;
       r.base_sim_ms = base_ms;
-      loss_engines_agree = loss_engines_agree && r.engines_agree;
       // Survivors may drop below the node count only through a
       // false-positive death, which these loss rates make negligible.
       loss_all_complete =
@@ -252,7 +211,6 @@ int main(int argc, char** argv) {
   // ---- 2. crashpoint sweep ------------------------------------------
   const std::vector<double> fracs =
       quick ? std::vector<double>{0.5} : std::vector<double>{0.25, 0.5, 0.75};
-  bool kill_engines_agree = true;
   bool kill_survivors_ok = true;
   bool kill_rebuilds_ok = true;
   {
@@ -266,7 +224,6 @@ int main(int argc, char** argv) {
       Row r = run_cell("kill", p, /*io_world=*/false);
       r.crash_frac = frac;
       r.base_sim_ms = b.sim_ms;
-      kill_engines_agree = kill_engines_agree && r.engines_agree;
       kill_survivors_ok =
           kill_survivors_ok && r.survivors == nodes - 1 && r.clean;
       kill_rebuilds_ok = kill_rebuilds_ok && r.rebuilds >= nodes - 1 &&
@@ -277,7 +234,6 @@ int main(int argc, char** argv) {
 
   // ---- 3. I/O name-service takeover ---------------------------------
   bool io_ok = true;
-  bool io_engines_agree = true;
   {
     const u32 nodes = 3;
     MultinodeParams base = io_params(nodes, quick);
@@ -288,7 +244,6 @@ int main(int argc, char** argv) {
     Row r = run_cell("io-kill", p, /*io_world=*/true);
     r.crash_frac = 0.4;
     r.base_sim_ms = b.sim_ms;
-    io_engines_agree = r.engines_agree;
     // The victim's clients must have re-resolved through the standby
     // server (NS takeover), and the survivors must finish cleanly.
     io_ok = r.survivors == nodes - 1 && r.clean && r.reresolves > 0;
@@ -309,9 +264,6 @@ int main(int argc, char** argv) {
                 "the loss sweep exercised actual packet drops");
   checks.expect(loss_all_complete,
                 "every collective completes at every surveyed loss rate");
-  checks.expect(loss_engines_agree && kill_engines_agree && io_engines_agree,
-                "serial and parallel engines agree bit-for-bit on every "
-                "cell (checksum, sim time, drained fabric counters)");
   checks.expect(kill_survivors_ok,
                 "a mid-run kill leaves n-1 survivors that finish cleanly");
   checks.expect(kill_rebuilds_ok,

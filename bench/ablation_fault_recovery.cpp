@@ -78,18 +78,9 @@ LossResult run_loss(double loss, u64 seed) {
 }  // namespace
 }  // namespace xemem
 
-int main(int argc, char** argv) {
+int main() {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
   bench::header(
       "Ablation: attach latency and goodput under channel message loss",
       "recovery is retry/backoff + idempotent replay (dedup caches); zero "

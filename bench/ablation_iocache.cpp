@@ -17,7 +17,6 @@
 #include "bench_util.hpp"
 #include "iocache/cache.hpp"
 #include "iocache/replay.hpp"
-#include "workloads/multinode.hpp"
 #include "xemem/system.hpp"
 
 namespace xemem {
@@ -204,21 +203,8 @@ void print_rows(const std::vector<Row>& rows) {
   }
 }
 
-/// Same-seed serial-vs-parallel engine comparison on the multi-node I/O
-/// cache workload (DESIGN.md §12): the simulated results must match
-/// bit-for-bit; only host wall-clock may differ.
-struct EngineSpeedup {
-  u32 nodes{0};
-  u32 workers{0};
-  double serial_wall_ms{0};
-  double parallel_wall_ms{0};
-  double speedup{0};
-  bool checksum_match{false};
-};
-
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                u64 unbatched_msgs, u64 batched_msgs,
-                const EngineSpeedup& es, bool passed) {
+                u64 unbatched_msgs, u64 batched_msgs, bool passed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -245,38 +231,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   std::fprintf(f,
                "  ],\n  \"renewal_batching\": {\"unbatched_msgs\": %llu, "
                "\"batched_msgs\": %llu},\n"
-               "  \"engine_speedup\": {\"nodes\": %u, \"workers\": %u, "
-               "\"serial_wall_ms\": %.1f, \"parallel_wall_ms\": %.1f, "
-               "\"speedup\": %.3f, \"checksum_match\": %s},\n"
                "  \"all_checks_passed\": %s\n}\n",
                static_cast<unsigned long long>(unbatched_msgs),
-               static_cast<unsigned long long>(batched_msgs), es.nodes,
-               es.workers, es.serial_wall_ms, es.parallel_wall_ms, es.speedup,
-               es.checksum_match ? "true" : "false",
+               static_cast<unsigned long long>(batched_msgs),
                passed ? "true" : "false");
   std::fclose(f);
-}
-
-EngineSpeedup run_engine_speedup(bool quick) {
-  workloads::MultinodeParams p;
-  p.nodes = 4;
-  p.clients_per_node = 2;
-  p.ops_per_rank = quick ? 32 : 48;
-  p.kind = sim::EngineKind::serial;
-  const auto serial = workloads::run_multinode_iocache(p);
-  p.kind = sim::EngineKind::parallel;
-  p.workers = 4;
-  const auto parallel = workloads::run_multinode_iocache(p);
-  EngineSpeedup s;
-  s.nodes = p.nodes;
-  s.workers = p.workers;
-  s.serial_wall_ms = serial.wall_ms;
-  s.parallel_wall_ms = parallel.wall_ms;
-  s.speedup = parallel.wall_ms > 0 ? serial.wall_ms / parallel.wall_ms : 0.0;
-  s.checksum_match = serial.checksum == parallel.checksum &&
-                     serial.sim_ms == parallel.sim_ms && serial.clean &&
-                     parallel.clean;
-  return s;
 }
 
 double cell_hit_rate(const std::vector<Row>& rows, Family f, u32 clients,
@@ -303,11 +262,8 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--json PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -345,14 +301,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(unbatched_msgs),
       static_cast<unsigned long long>(batched_msgs));
 
-  const EngineSpeedup es = run_engine_speedup(quick);
-  std::printf(
-      "\nengine speedup (multi-node epochs, %u nodes, same seed):\n"
-      "  serial:      %.1f ms wall\n"
-      "  parallel:%u   %.1f ms wall (%.2fx, results %s)\n",
-      es.nodes, es.serial_wall_ms, es.workers, es.parallel_wall_ms, es.speedup,
-      es.checksum_match ? "bit-identical" : "MISMATCH");
-
   std::printf("\nshape checks:\n");
   bench::ShapeChecks checks;
   bool all_clean = true;
@@ -382,12 +330,9 @@ int main(int argc, char** argv) {
                 "no lease expires under either renewal scheme");
   checks.expect(batched_msgs * 3 < unbatched_msgs * 2,
                 "batched renewals cut heartbeat messages by >= a third");
-  checks.expect(es.checksum_match,
-                "serial and parallel engines agree bit-for-bit on the "
-                "multi-node workload (same seed)");
 
   if (!json_path.empty()) {
-    write_json(json_path, rows, unbatched_msgs, batched_msgs, es,
+    write_json(json_path, rows, unbatched_msgs, batched_msgs,
                checks.all_passed());
     std::printf("\njson written to %s\n", json_path.c_str());
   }

@@ -77,18 +77,9 @@ double run_mode(bool distributed, u32 enclaves, int reps) {
 }  // namespace
 }  // namespace xemem
 
-int main(int argc, char** argv) {
+int main() {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
   const int reps = bench::runs_override(5);
   bench::header(
       "Ablation B: IPI handling, core-0-restricted vs distributed "

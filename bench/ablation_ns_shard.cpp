@@ -465,11 +465,8 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--json PATH]\n", argv[0]);
       return 2;
     }
   }

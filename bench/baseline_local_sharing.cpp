@@ -85,18 +85,9 @@ Row run_size(u64 bytes) {
 }  // namespace
 }  // namespace xemem
 
-int main(int argc, char** argv) {
+int main() {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
   bench::header(
       "Baseline: local-node sharing mechanisms (SMARTMAP / XEMEM / KNEM)",
       "SMARTMAP setup is O(1); XEMEM setup is per-page but amortizes into "

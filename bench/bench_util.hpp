@@ -16,7 +16,6 @@
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
-#include "sim/engine.hpp"
 
 namespace xemem::bench {
 
@@ -33,39 +32,9 @@ inline void header(const char* title, const char* paper_ref) {
   std::printf("paper reference: %s\n\n", paper_ref);
 }
 
-/// Engine the bench's Engine instances default to (XEMEM_ENGINE; benches
-/// also accept --engine serial|parallel[:N] and feed it through
-/// sim::Engine::set_default).
-inline const char* engine_mode() {
-  return sim::Engine::default_kind() == sim::EngineKind::parallel ? "parallel"
-                                                                  : "serial";
-}
-
-/// Parse a bench's --engine argument value ("serial", "parallel",
-/// "parallel:4") into the process-wide engine default. Returns false on an
-/// unknown value.
-inline bool set_engine_mode(const std::string& v) {
-  if (v == "serial") {
-    sim::Engine::set_default(sim::EngineKind::serial);
-    return true;
-  }
-  if (v.rfind("parallel", 0) == 0) {
-    u32 workers = 0;
-    const auto colon = v.find(':');
-    if (colon != std::string::npos) {
-      const int n = std::atoi(v.c_str() + colon + 1);
-      if (n <= 0) return false;
-      workers = static_cast<u32>(n);
-    }
-    sim::Engine::set_default(sim::EngineKind::parallel, workers);
-    return true;
-  }
-  return false;
-}
-
 /// Host wall-clock stopwatch for the bench footer: simulated results are
-/// deterministic per seed, but the wall-clock row is what the engine-mode
-/// flag exists to move.
+/// deterministic per seed; the wall-clock row records what producing them
+/// cost in host time.
 class WallClock {
  public:
   WallClock() : start_(std::chrono::steady_clock::now()) {}
@@ -79,11 +48,9 @@ class WallClock {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Standard bench footer: which engine ran the simulation and how long it
-/// took in host time.
+/// Standard bench footer: how long the bench took in host time.
 inline void wall_clock_row(const WallClock& wc) {
-  std::printf("\nengine: %s, host wall clock: %.0f ms\n", engine_mode(),
-              wc.elapsed_ms());
+  std::printf("\nhost wall clock: %.0f ms\n", wc.elapsed_ms());
 }
 
 /// A qualitative shape assertion, reported PASS/FAIL (benches exit nonzero

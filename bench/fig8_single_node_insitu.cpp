@@ -123,18 +123,9 @@ Cell run_cell(Config config, bool async, bool recurring, int runs) {
 }  // namespace
 }  // namespace xemem
 
-int main(int argc, char** argv) {
+int main() {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
   const int runs = bench::runs_override(10);
   bench::header(
       "Figure 8: Single-node in-situ benchmark (HPCCG + STREAM, 512 MB region)",

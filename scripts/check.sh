@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, then the same suite under
 # AddressSanitizer/UBSan (catches lifetime bugs the coroutine-heavy
-# simulator is prone to), plus optional standalone UBSan and TSan legs.
-# The TSan leg runs the suite twice: once with the default serial engine
-# and once with XEMEM_ENGINE=parallel, so the parallel engine's worker
-# threads and cross-partition channel delivery (DESIGN.md §12) are
-# exercised under the race detector.
-# Usage: scripts/check.sh [--asan-only|--fast|--ubsan|--tsan]
+# simulator is prone to), plus an optional standalone UBSan leg. Only the
+# RelWithDebInfo leg writes the BENCH_*.json trend files; the ASan leg
+# runs the same smokes but its timings are sanitizer numbers.
+# Usage: scripts/check.sh [--asan-only|--fast|--ubsan]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Wall-clock wrapper for the bench smokes: the parallel-engine work makes
-# host time a tracked output, not just noise.
+# Wall-clock wrapper for the bench smokes: host time is a tracked output,
+# not just noise.
 run_timed() {
   local label="$1"; shift
   local t0=$SECONDS
@@ -22,37 +20,13 @@ run_timed() {
 fast=0
 asan_only=0
 ubsan=0
-tsan=0
 case "${1:-}" in
   --fast) fast=1 ;;
   --asan-only) asan_only=1 ;;
   --ubsan) ubsan=1 ;;
-  --tsan) tsan=1 ;;
   "") ;;
-  *) echo "usage: $0 [--asan-only|--fast|--ubsan|--tsan]" >&2; exit 2 ;;
+  *) echo "usage: $0 [--asan-only|--fast|--ubsan]" >&2; exit 2 ;;
 esac
-
-if [[ $tsan -eq 1 ]]; then
-  echo "== sanitizers: standalone tsan build + ctest (serial engine) =="
-  cmake --preset tsan >/dev/null
-  cmake --build --preset tsan -j
-  ctest --preset tsan -j "$(nproc)"
-
-  echo "== tsan: engine suite under XEMEM_ENGINE=parallel =="
-  # ctest -R filters by test name, not binary, so invoke the binaries
-  # directly; these are the suites whose workloads cross partitions.
-  for t in test_sim test_engine_equivalence test_fault test_net \
-           test_fabric_fault test_collectives test_iocache; do
-    run_timed "tsan parallel ${t}" \
-      env XEMEM_ENGINE=parallel ./build-tsan/tests/"$t"
-  done
-
-  echo "== tsan: parallel-engine ablation smoke =="
-  run_timed "tsan sim_engine smoke" \
-    ./build-tsan/bench/ablation_sim_engine --quick
-  echo "all checks passed"
-  exit 0
-fi
 
 if [[ $ubsan -eq 1 ]]; then
   echo "== sanitizers: standalone ubsan build + ctest =="
@@ -98,11 +72,6 @@ if [[ $asan_only -eq 0 ]]; then
     ./build/bench/ablation_iocache --quick --json build/iocache.json
   cp build/iocache.json BENCH_iocache.json
 
-  echo "== parallel discrete-event engine ablation smoke =="
-  run_timed "ablation_sim_engine" \
-    ./build/bench/ablation_sim_engine --quick --json build/sim_engine.json
-  cp build/sim_engine.json BENCH_sim_engine.json
-
   echo "== fabric fault-injection ablation smoke =="
   run_timed "ablation_fabric_fault" \
     ./build/bench/ablation_fabric_fault --quick --json build/fabric_fault.json
@@ -126,24 +95,16 @@ if [[ $fast -eq 0 ]]; then
 
   echo "== sharded name-service churn-storm smoke (asan) =="
   ./build-asan/bench/ablation_ns_shard --quick --json build-asan/ns_shard.json
-  cp build-asan/ns_shard.json BENCH_ns_shard.json
 
   echo "== capability revocation ablation smoke (asan) =="
   ./build-asan/bench/ablation_capability --quick --json build-asan/capability.json
-  cp build-asan/capability.json BENCH_capability.json
 
   echo "== burst-buffer I/O cache ablation smoke (asan) =="
   ./build-asan/bench/ablation_iocache --quick --json build-asan/iocache.json
-  cp build-asan/iocache.json BENCH_iocache.json
-
-  echo "== parallel discrete-event engine ablation smoke (asan) =="
-  run_timed "ablation_sim_engine (asan)" \
-    ./build-asan/bench/ablation_sim_engine --quick --json build-asan/sim_engine.json
 
   echo "== fabric fault-injection ablation smoke (asan) =="
   run_timed "ablation_fabric_fault (asan)" \
     ./build-asan/bench/ablation_fabric_fault --quick --json build-asan/fabric_fault.json
-  cp build-asan/fabric_fault.json BENCH_fabric_fault.json
 fi
 
 echo "all checks passed"

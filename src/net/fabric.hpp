@@ -16,10 +16,10 @@
 // every rank completes at exactly max_i(arrival_i) + rounds * per_round —
 // the same "straggler barrier + recursive-doubling cost" the model has
 // always charged. Every cross-rank interaction is a discrete packet
-// delayed by at least the fabric latency, which makes the fabric a legal
-// cross-partition channel for the parallel engine (DESIGN.md §12):
-// deliveries go through Engine::call_in with the modeled latency covering
-// the conservative lookahead.
+// delayed by at least the fabric latency, which makes the fabric the
+// legal channel between node partitions (DESIGN.md §12): deliveries go
+// through Engine::call_in with the modeled latency covering the partition
+// lookahead.
 //
 // Failure model (DESIGN.md §13):
 //  * Injection — each directed link carries a FabricFaultSpec and a
@@ -41,8 +41,8 @@
 //
 // All fault, retransmit and failure state lives in the affected rank's
 // slot and is only touched from that rank's partition, so the whole
-// failure machinery stays bit-identical per seed across the serial and
-// parallel engines at any worker count.
+// failure machinery follows each node's own event order and stays
+// bit-identical per seed.
 #pragma once
 
 #include <bit>
@@ -331,8 +331,7 @@ class Communicator {
   };
 
   /// Directed-link state, owned by the *sending* rank's slot (and so by
-  /// its partition — fault draws and retransmit bookkeeping stay
-  /// deterministic under the parallel engine).
+  /// its partition).
   struct Link {
     FabricFaultSpec spec;
     bool active{false};
@@ -461,10 +460,8 @@ class Communicator {
 
   void arm_retx(u32 src, u32 dst, u64 seq, u64 cost) {
     // The deadline covers the full modeled round trip (serialization +
-    // ack latency) plus rto slack: a fault-free send can never time out,
-    // and the timeout strictly exceeds the fabric latency (so the
-    // parallel engine's lookahead contract is untouched — timers are
-    // same-partition events anyway).
+    // ack latency) plus rto slack, so a fault-free send can never time
+    // out.
     auto* eng = sim::Engine::current();
     eng->call_at(eng->now() + cost + latency_ + rto_,
                  [this, src, dst, seq] { on_retx(src, dst, seq); });

@@ -4,18 +4,16 @@
 // directed link (src, dst) of the net::Communicator carries its own spec
 // and its own seeded Rng, so a fault schedule is a pure function of
 // (fabric fault seed, src, dst, send sequence) — identical runs inject
-// identical faults on either engine at any worker count. Link state lives
-// in the *sender's* slot and is only ever touched from the sender's
-// partition, which is what keeps the injected schedule deterministic
-// under the parallel engine.
+// identical faults. Link state lives in the *sender's* slot and is only
+// ever touched from the sender's partition.
 //
 // FabricReliability parameterizes the reliable-delivery layer built on
 // top of the lossy links: retransmit timeout, retry budget, and the
 // receiver-side probe cadence used to detect a dead sender while waiting
 // on a collective round. The retransmit timer is armed at
 //   send + serialization + ack latency + rto
-// so the timeout always exceeds the fabric latency — cross-partition
-// events stay outside the conservative lookahead window (DESIGN.md §13).
+// so a fault-free send, whose ack arrives after exactly that round trip,
+// never times out (DESIGN.md §13).
 #pragma once
 
 #include "common/assert.hpp"

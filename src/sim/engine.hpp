@@ -1,132 +1,188 @@
 // The discrete-event simulation engine.
 //
-// A single Engine instance drives one experiment. Two implementations sit
-// behind this facade (selected per instance, or process-wide through
-// XEMEM_ENGINE / set_default):
-//
-//  * serial   — one thread, one clock, one queue (serial_engine.hpp);
-//  * parallel — one queue and local clock per *partition*, executed by
-//    worker threads under conservative channel lookahead
-//    (parallel_engine.hpp).
-//
-// A partition corresponds to one simulated node: enclaves of a node are
-// entangled at zero latency (shared memory, shared cores, IPIs), so the
-// node is the smallest unit that can own an independent clock; nodes
-// couple only through the fabric, whose modeled latency
-// (costs::kIbEndToEndLatency) provides the lookahead. Events at equal
-// times fire in (creating partition, per-partition sequence) order, which
-// makes runs bit-for-bit reproducible on either engine — a
-// single-partition run reproduces the historical (time, seq) FIFO order
-// exactly.
-//
-// Coroutines obtain "their" engine through Engine::current(), which is
-// thread-local and set for the duration of every resumption — simulation
-// code can simply write
+// A single Engine instance drives one experiment on one OS thread: one
+// clock, one binary-heap event queue. Coroutines obtain "their" engine
+// through Engine::current(), which is set for the duration of every
+// resumption — simulation code can simply write
 //   co_await sim::delay(5_us);
 // without threading an engine pointer through every call.
 //
-// Environment override: XEMEM_ENGINE=serial | parallel | parallel:<N>
-// selects the default implementation (and worker count) for every Engine
-// constructed without an explicit kind — benches and tests honor it
-// process-wide.
+// Partitions (DESIGN.md §12). A multi-node run splits the simulation into
+// one partition per simulated node: enclaves of a node are entangled at
+// zero latency (shared memory, shared cores, IPIs), while nodes couple only
+// through the fabric, whose modeled latency (costs::kIbEndToEndLatency) is
+// the partition lookahead. Each partition owns a sequence counter and an
+// RNG stream, and events are totally ordered by the key
+// `(time, creating partition, per-partition sequence)`. Every key
+// component comes from simulation state, so runs are bit-for-bit
+// reproducible per seed, and a single-partition run degenerates to the
+// classic `(time, seq)` FIFO order. The lookahead and partition-discipline
+// asserts keep the node boundaries honest: no node observes another except
+// through a delivery of at least the fabric latency.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
-#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/costs.hpp"
 #include "common/rng.hpp"
-#include "sim/engine_core.hpp"
-#include "sim/parallel_engine.hpp"
-#include "sim/serial_engine.hpp"
+#include "common/types.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace xemem::sim {
 
-namespace detail {
+class Engine;
 
-struct EngineDefault {
-  EngineKind kind{EngineKind::serial};
-  u32 workers{0};  // 0: pick from hardware concurrency at run time
+/// Which implementation drives a sim::Engine (reported by harnesses that
+/// print their configuration). There is one.
+enum class EngineKind : u8 {
+  serial,  ///< one thread, one queue, one clock
 };
 
-inline EngineDefault& engine_default() {
-  static EngineDefault d = [] {
-    EngineDefault v;
-    if (const char* env = std::getenv("XEMEM_ENGINE")) {
-      const std::string s(env);
-      if (s.rfind("parallel", 0) == 0) {
-        v.kind = EngineKind::parallel;
-        const auto colon = s.find(':');
-        if (colon != std::string::npos) {
-          const int n = std::atoi(s.c_str() + colon + 1);
-          if (n > 0) v.workers = static_cast<u32>(n);
+namespace detail {
+
+/// Engine driving the currently-executing event. Engine::current() reads
+/// this; the engine sets and restores it around every event execution.
+inline Engine* g_current_engine = nullptr;
+
+/// Deterministic per-partition RNG seeding: partition 0 keeps the user's
+/// seed verbatim (bit-compat with single-partition runs); higher
+/// partitions derive independent streams.
+inline u64 partition_seed(u64 seed, u32 part) {
+  return part == 0 ? seed : seed + 0x9e3779b97f4a7c15ull * (part + 1);
+}
+
+inline constexpr TimePoint kInfTime = std::numeric_limits<u64>::max();
+
+/// `a + b` on TimePoints without wrapping past infinity.
+inline TimePoint sat_add(TimePoint a, Duration b) {
+  return a > kInfTime - b ? kInfTime : a + b;
+}
+
+/// One scheduled wakeup: either a coroutine resumption or a plain
+/// callback (processor-sharing timers, cross-partition channel
+/// deliveries).
+struct Event {
+  TimePoint t{};
+  u32 key_part{0};    ///< partition that created the event (key component)
+  u32 owner_part{0};  ///< partition that executes it
+  u64 key_seq{0};     ///< creating partition's sequence number
+  std::coroutine_handle<> h{};
+  std::function<void()> fn{};
+
+  bool before(const Event& o) const {
+    if (t != o.t) return t < o.t;
+    if (key_part != o.key_part) return key_part < o.key_part;
+    return key_seq < o.key_seq;
+  }
+};
+
+/// Min-heap of events on (t, key_part, key_seq). Unlike
+/// std::priority_queue, pop_move() moves the event out of the heap —
+/// `Event::fn` is a std::function whose copy reallocates any non-trivial
+/// capture, and a copying pop would sit on the hottest loop of the whole
+/// simulator.
+class EventHeap {
+ public:
+  bool empty() const { return v_.empty(); }
+  const Event& top() const { return v_.front(); }
+
+  void push(Event e) {
+    v_.push_back(std::move(e));
+    std::push_heap(v_.begin(), v_.end(), heap_later);
+  }
+
+  Event pop_move() {
+    std::pop_heap(v_.begin(), v_.end(), heap_later);
+    Event e = std::move(v_.back());
+    v_.pop_back();
+    return e;
+  }
+
+ private:
+  // std::push_heap builds a max-heap under its comparator; "a sorts later
+  // than b" makes the earliest event the heap top.
+  static bool heap_later(const Event& a, const Event& b) { return b.before(a); }
+
+  std::vector<Event> v_;
+};
+
+/// A detached actor kept alive by the engine until completion. Destroying
+/// a completed actor that died with an exception surfaces the failure
+/// instead of silently dropping it.
+struct Detached {
+  std::coroutine_handle<Task<void>::promise_type> handle{};
+  bool done{false};
+
+  Detached() = default;
+  Detached(const Detached&) = delete;
+  Detached& operator=(const Detached&) = delete;
+
+  ~Detached() {
+    if (handle) {
+      if (done && handle.promise().exception) {
+        try {
+          std::rethrow_exception(handle.promise().exception);
+        } catch (const std::exception& e) {
+          XEMEM_PANIC(e.what());
+        } catch (...) {
+          XEMEM_PANIC("detached simulation task failed");
         }
       }
+      handle.destroy();
     }
-    return v;
-  }();
-  return d;
-}
+  }
+};
 
 }  // namespace detail
 
 class Engine {
  public:
-  /// Default construction follows the process-wide engine selection
-  /// (XEMEM_ENGINE / set_default), so every existing harness can be moved
-  /// onto the parallel engine without a code change.
-  explicit Engine(u64 seed = 1)
-      : Engine(seed, detail::engine_default().kind,
-               detail::engine_default().workers) {}
+  explicit Engine(u64 seed = 1) : seed_(seed) {
+    parts_.push_back(Part{0, Rng(detail::partition_seed(seed, 0))});
+  }
 
-  Engine(u64 seed, EngineKind kind, u32 workers = 0) : kind_(kind) {
-    if (kind == EngineKind::parallel) {
-      impl_ = std::make_unique<detail::ParallelEngine>(this, seed, workers);
-    } else {
-      impl_ = std::make_unique<detail::SerialEngine>(this, seed);
-    }
+  ~Engine() {
+    // Unfinished actors at teardown are destroyed while suspended; their
+    // frames unwind normally because Task locals are regular RAII objects.
+    detached_.clear();
   }
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time (of the partition executing the current
-  /// event; partition 0's clock outside event execution).
-  TimePoint now() const { return impl_->now(); }
+  /// Current simulated time.
+  TimePoint now() const { return now_; }
 
   /// RNG stream of the current partition (partition 0 keeps the seed
   /// verbatim, so single-partition runs draw the historical stream).
-  Rng& rng() { return impl_->rng(); }
+  Rng& rng() { return parts_[cur_part_].rng; }
 
-  /// Engine driving the currently-executing coroutine (thread-local; set
-  /// during event execution).
+  /// Engine driving the currently-executing coroutine (set during event
+  /// execution).
   static Engine* current() {
     XEMEM_ASSERT_MSG(detail::g_current_engine != nullptr,
                      "no simulation engine is running");
     return detail::g_current_engine;
   }
 
-  /// Process-wide default implementation for subsequently constructed
-  /// engines (overridden per instance by the explicit-kind constructor).
-  static void set_default(EngineKind kind, u32 workers = 0) {
-    detail::engine_default() = detail::EngineDefault{kind, workers};
-  }
-  static EngineKind default_kind() { return detail::engine_default().kind; }
-
-  EngineKind kind() const { return kind_; }
+  static EngineKind default_kind() { return EngineKind::serial; }
 
   // ------------------------------------------------------------ scheduling
 
   /// Schedule @p h to resume at absolute time @p t (>= now) in the
   /// current partition.
   void schedule_at(TimePoint t, std::coroutine_handle<> h) {
-    impl_->schedule_at(t, h);
+    XEMEM_ASSERT(t >= now_);
+    queue_.push(
+        Event{t, cur_part_, cur_part_, parts_[cur_part_].seq++, h, {}});
   }
 
   /// Schedule @p h to resume after @p d.
@@ -137,7 +193,9 @@ class Engine {
   /// Schedule a plain callback (used by non-coroutine models, e.g. the
   /// processor-sharing resource's completion timers).
   void call_at(TimePoint t, std::function<void()> fn) {
-    impl_->call_at(t, std::move(fn));
+    XEMEM_ASSERT(t >= now_);
+    queue_.push(Event{t, cur_part_, cur_part_, parts_[cur_part_].seq++,
+                      nullptr, std::move(fn)});
   }
 
   /// Schedule a plain callback into partition @p part. Cross-partition
@@ -145,21 +203,35 @@ class Engine {
   /// cross-partition edge, used by channel delivery paths whose modeled
   /// latency covers the lookahead.
   void call_in(u32 part, TimePoint t, std::function<void()> fn) {
-    impl_->call_in(part, t, std::move(fn));
+    XEMEM_ASSERT(part < parts_.size());
+    if (part == cur_part_) {
+      call_at(t, std::move(fn));
+      return;
+    }
+    XEMEM_ASSERT_MSG(t >= detail::sat_add(now_, lookahead_),
+                     "cross-partition event inside the lookahead window");
+    queue_.push(Event{t, cur_part_, part, parts_[cur_part_].seq++, nullptr,
+                      std::move(fn)});
   }
 
   /// Launch a detached background actor in the current partition. The
   /// engine keeps the coroutine frame alive until it completes; an
   /// exception escaping a detached task aborts the simulation (actors are
   /// expected to handle their own errors).
-  void spawn(Task<void> task) {
-    impl_->spawn_in(impl_->current_partition(), std::move(task));
-  }
+  void spawn(Task<void> task) { spawn_in(cur_part_, std::move(task)); }
 
   /// Launch a detached actor in partition @p part (setup-time only for
   /// foreign partitions: harnesses place per-node drivers before run()).
   void spawn_in(u32 part, Task<void> task) {
-    impl_->spawn_in(part, std::move(task));
+    XEMEM_ASSERT(part < parts_.size());
+    XEMEM_ASSERT_MSG(!running_ || part == cur_part_,
+                     "runtime spawns must target the current partition");
+    auto node = std::make_unique<detail::Detached>();
+    node->handle = task.release();
+    node->handle.promise().done_flag = &node->done;
+    detached_.push_back(std::move(node));
+    queue_.push(Event{now_, part, part, parts_[part].seq++,
+                      detached_.back()->handle, {}});
   }
 
   // ------------------------------------------------------------ execution
@@ -172,20 +244,58 @@ class Engine {
   T run(Task<T> main) {
     bool done = false;
     main.set_done_flag(&done);
-    impl_->run_root(main.handle(), &done);
+    schedule_at(now_, main.handle());
+    running_ = true;
+    while (!done) {
+      XEMEM_ASSERT_MSG(step(),
+                       "simulation deadlocked: main task never finished");
+    }
+    running_ = false;
+    reap();
     return main.take_result();
   }
 
-  /// Process events until every queue is empty.
-  void run_until_idle() { impl_->run_until_idle(); }
+  /// Process events until the queue is empty.
+  void run_until_idle() {
+    running_ = true;
+    while (step()) {
+    }
+    running_ = false;
+    reap();
+  }
 
-  /// Process events until the clock would pass @p t, then set now = t
-  /// (single-partition engines only under the parallel implementation).
-  void run_until(TimePoint t) { impl_->run_until(t); }
+  /// Process events until the clock would pass @p t, then set now = t.
+  void run_until(TimePoint t) {
+    running_ = true;
+    while (!queue_.empty() && queue_.top().t <= t) {
+      XEMEM_ASSERT(step());
+    }
+    running_ = false;
+    XEMEM_ASSERT(t >= now_);
+    now_ = t;
+    reap();
+  }
 
-  /// Execute one event. Returns false if the queue is empty
-  /// (single-partition engines only under the parallel implementation).
-  bool step() { return impl_->step(); }
+  /// Execute one event. Returns false if the queue is empty.
+  bool step() {
+    if (queue_.empty()) return false;
+    Event ev = queue_.pop_move();
+    XEMEM_ASSERT(ev.t >= now_);
+    now_ = ev.t;
+    cur_part_ = ev.owner_part;
+    Engine* prev = detail::g_current_engine;
+    detail::g_current_engine = this;
+    if (ev.h) {
+      ev.h.resume();
+    } else {
+      ev.fn();
+    }
+    detail::g_current_engine = prev;
+    cur_part_ = 0;  // outside event execution, context reverts to partition 0
+    ++processed_;
+    if (++steps_since_reap_ >= 4096) reap();
+    return true;
+  }
 
   // ------------------------------------------------------------ partitions
 
@@ -195,31 +305,62 @@ class Engine {
   /// recording the lookahead.
   void set_partitions(u32 n,
                       Duration lookahead = costs::kIbEndToEndLatency) {
-    impl_->set_partitions(n, lookahead);
+    XEMEM_ASSERT(n >= 1 && !running_);
+    XEMEM_ASSERT_MSG(queue_.empty() && parts_.size() == 1 &&
+                         parts_[0].seq == 0,
+                     "set_partitions() must precede any scheduling");
+    XEMEM_ASSERT_MSG(n == 1 || lookahead > 0,
+                     "multi-partition runs need a positive lookahead");
+    lookahead_ = lookahead;
+    for (u32 p = 1; p < n; ++p) {
+      parts_.push_back(Part{0, Rng(detail::partition_seed(seed_, p))});
+    }
   }
 
-  u32 partitions() const { return impl_->partitions(); }
-  u32 current_partition() const { return impl_->current_partition(); }
-  Duration lookahead() const { return impl_->lookahead(); }
+  u32 partitions() const { return static_cast<u32>(parts_.size()); }
 
-  /// Worker threads a parallel run would use (1 for the serial engine).
-  u32 workers() const {
-    if (kind_ != EngineKind::parallel) return 1;
-    return static_cast<detail::ParallelEngine*>(impl_.get())
-        ->effective_workers();
-  }
+  /// Partition executing the current event (partition 0 outside event
+  /// execution).
+  u32 current_partition() const { return cur_part_; }
+  Duration lookahead() const { return lookahead_; }
 
   // ------------------------------------------------------------ diagnostics
 
-  /// Number of events executed so far (summed over partitions).
-  u64 events_processed() const { return impl_->events_processed(); }
+  /// Number of events executed so far.
+  u64 events_processed() const { return processed_; }
 
   /// Number of events ever scheduled (executed or still pending).
-  u64 events_scheduled() const { return impl_->events_scheduled(); }
+  u64 events_scheduled() const {
+    u64 n = 0;
+    for (const auto& p : parts_) n += p.seq;
+    return n;
+  }
 
  private:
-  EngineKind kind_;
-  std::unique_ptr<detail::EngineImpl> impl_;
+  struct Part {
+    u64 seq{0};
+    Rng rng;
+  };
+
+  using Event = detail::Event;
+
+  void reap() {
+    steps_since_reap_ = 0;
+    std::erase_if(detached_, [](const std::unique_ptr<detail::Detached>& d) {
+      return d->done;
+    });
+  }
+
+  u64 seed_;
+  TimePoint now_{kTimeZero};
+  u32 cur_part_{0};
+  u64 processed_{0};
+  u64 steps_since_reap_{0};
+  bool running_{false};
+  Duration lookahead_{0};
+  detail::EventHeap queue_;
+  std::vector<Part> parts_;
+  std::vector<std::unique_ptr<detail::Detached>> detached_;
 };
 
 /// Awaitable: suspend the current coroutine for @p d simulated nanoseconds.

@@ -2,7 +2,6 @@
 #include "workloads/multinode.hpp"
 
 #include <bit>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,8 +24,8 @@ u64 mix(u64 h, u64 v) {
 }
 
 /// Fold the node's own fabric counters into its digest. Every counter of
-/// slot n is only mutated by partition-n events, so the value at the
-/// (partition-n) recording event is engine-independent.
+/// slot n is only mutated by partition-n events, so the digest captures
+/// exactly that node's fabric history up to its recording event.
 u64 mix_fabric(u64 h, const FabricStats& f) {
   h = mix(h, f.fabric_drops);
   h = mix(h, f.fabric_dups);
@@ -59,11 +58,10 @@ std::vector<u32> socket_cores(u32 socket, u32 count) {
 }
 
 /// Collectives-world kernels keep the default protocol parameters but a
-/// short RPC timeout: intra-node RPCs complete in microseconds, and the
-/// 10 s default would leave stale timeout timers that a post-kill drain
-/// must retire -- which the parallel engine can only reach by ratcheting
-/// partition clocks in lookahead-sized steps (seconds of wall time for a
-/// 10 s gap).
+/// short RPC timeout: intra-node RPCs complete in microseconds, so 5 ms
+/// never fires on a healthy node, and the stale timeout timers a post-kill
+/// drain must retire then end milliseconds after the workload instead of
+/// 10 s (the default) after it.
 KernelConfig coll_kernel_config() {
   KernelConfig cfg;
   cfg.request_timeout = 5_ms;
@@ -81,8 +79,8 @@ KernelConfig cache_kernel_config() {
 }
 
 /// Shared driver context: per-node digests are written by each node's
-/// driver in its own partition and read on the launching thread after
-/// run() returns (worker join orders the accesses).
+/// driver in its own partition and read by the runner after run()
+/// returns.
 struct Ctx {
   const MultinodeParams* p{nullptr};
   net::Communicator* fabric{nullptr};
@@ -244,8 +242,8 @@ sim::Task<void> coll_node_driver(Ctx& cx, u32 n) {
   cx.node_clean[n] = clean ? 1 : 0;
   // Record *before* the closing barrier: every node's digest is then
   // written at a time no later than the root's completion (or, for a
-  // dead node, before the drain finishes), so both engines execute every
-  // recording event.
+  // dead node, before the drain finishes), so every recording event has
+  // executed when the runner reads the digests.
   co_await closing_sync(cx, n, static_cast<u64>(p.iters));
   // Fault/kill runs drain the engine afterwards; stop the kernels'
   // lifetime actors so the drain can reach an idle heap.
@@ -434,7 +432,7 @@ using Driver = sim::Task<void> (*)(Ctx&, u32);
 MultinodeResult run(const MultinodeParams& p, Driver driver,
                     bool iocache_world) {
   MultinodeResult res;
-  sim::Engine eng(p.seed, p.kind, p.workers);
+  sim::Engine eng(p.seed);
   eng.set_partitions(p.nodes);
   net::Communicator fabric(p.nodes);
 
@@ -455,12 +453,10 @@ MultinodeResult run(const MultinodeParams& p, Driver driver,
         node->add_cokernel("srv1", 0,
                            {4 + p.clients_per_node, 5 + p.clients_per_node},
                            1_GiB);
-        res.enclaves += 1;
       }
       nodes.push_back(std::move(node));
       stores.push_back(
           std::make_unique<iocache::BackingStore>(p.file_blocks, 42));
-      res.enclaves += 2 + p.clients_per_node;
     } else {
       auto node = std::make_unique<Node>(coll_machine(p.enclaves_per_node));
       node->set_kernel_config(coll_kernel_config());
@@ -470,7 +466,6 @@ MultinodeResult run(const MultinodeParams& p, Driver driver,
                            2_GiB);
       }
       nodes.push_back(std::move(node));
-      res.enclaves += p.enclaves_per_node;
     }
     nodes.back()->set_partition(n);
   }
@@ -494,23 +489,18 @@ MultinodeResult run(const MultinodeParams& p, Driver driver,
   cx.node_reresolves.assign(p.nodes, 0);
 
   for (u32 n = 1; n < p.nodes; ++n) eng.spawn_in(n, driver(cx, n));
-  const auto w0 = std::chrono::steady_clock::now();
   eng.run(driver(cx, 0));
-  res.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - w0)
-                    .count();
   res.sim_ms = static_cast<double>(eng.now()) / 1e6;
   if (p.has_fabric_failures()) {
     // Drain: a dead node's recording event has no causal edge to the
-    // root's completion, so only a full drain executes it on both
-    // engines; the drain also retires every straggling ack/retransmit
-    // timer, making finish_run()'s checks and the aggregated fabric
-    // counters deterministic.
+    // root's completion, so only a full drain is sure to execute it; the
+    // drain also retires every straggling ack/retransmit timer, so
+    // finish_run()'s checks and the aggregated fabric counters see the
+    // fabric at rest.
     eng.run_until_idle();
     fabric.finish_run();
     res.fabric = fabric.stats();
   }
-  res.events = eng.events_processed();
   res.clean = true;
   for (u32 n = 0; n < p.nodes; ++n) {
     res.checksum = mix(res.checksum, cx.node_sum[n]);

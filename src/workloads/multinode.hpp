@@ -1,22 +1,20 @@
-// Multi-node workloads for the parallel-engine ablation and the
-// serial-vs-parallel equivalence suite.
+// Multi-node workloads for the fabric-fault ablation and the multi-node
+// determinism tests.
 //
 // Each simulated node is one engine partition (see DESIGN.md §12): it
 // carries a complete per-node world — machine, enclaves, XEMEM kernels,
 // and either a collectives job or a burst-buffer I/O cache cell — and
 // couples to the other nodes only through the net::Communicator fabric,
-// whose modeled latency provides the conservative lookahead.
+// whose modeled latency is the partition lookahead.
 //
 // Both runners return a deterministic checksum folded from state each
 // node records *before* its final fabric barrier. On a fault-free run
-// every recording event executes before the root driver's completion on
-// either engine; when fabric faults or a kill are configured the runner
-// additionally drains the engine (run_until_idle) so the dead node's
-// record — which has no causal edge to the root — executes
-// deterministically too. Either way the checksum is bit-identical across
-// {serial, parallel} x any worker count for a given seed — the property
-// the equivalence tests assert and the ablation benches re-check on
-// every timed cell.
+// every recording event executes before the root driver's completion;
+// when fabric faults or a kill are configured the runner additionally
+// drains the engine (run_until_idle) so the dead node's record — which
+// has no causal edge to the root — executes too. Either way the checksum
+// is bit-identical for a given seed, the property the determinism tests
+// assert.
 //
 // Fault injection (DESIGN.md §13): `fabric_faults` perturbs every fabric
 // link; `kill_rank`/`kill_time_ns` kills one node mid-run. The drivers
@@ -31,13 +29,10 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "net/fabric_fault.hpp"
-#include "sim/engine.hpp"
 
 namespace xemem::workloads {
 
 struct MultinodeParams {
-  sim::EngineKind kind{sim::EngineKind::serial};
-  u32 workers{1};   ///< parallel-engine worker threads
   u32 nodes{4};     ///< engine partitions (one per simulated node)
   u64 seed{2026};
 
@@ -76,19 +71,14 @@ struct MultinodeParams {
 };
 
 struct MultinodeResult {
-  double sim_ms{0};    ///< virtual time at root completion (deterministic)
-  double wall_ms{0};   ///< host wall-clock of the run() call
-  u64 checksum{0};     ///< engine-independent digest of recorded results
-  u64 events{0};       ///< events processed (informational; may exceed the
-                       ///  serial count when other partitions overrun the
-                       ///  root's completion)
-  u32 enclaves{0};     ///< total enclaves simulated across all nodes
+  double sim_ms{0};    ///< virtual time at root completion
+  u64 checksum{0};     ///< per-seed digest of recorded results
   bool clean{true};
   u32 survivors{0};    ///< fabric ranks still alive at the end of the run
   u64 reresolves{0};   ///< I/O cell: directory re-resolutions (takeover)
-  /// Aggregated fabric counters. Deterministic (and folded into the
-  /// per-node digests) only for fault/kill runs, which drain the engine;
-  /// zeroed otherwise to keep the result engine-independent.
+  /// Aggregated fabric counters, read after the drain of a fault/kill run
+  /// (so straggling acks and retransmit timers have retired); zeroed for
+  /// fault-free runs, which do not drain.
   FabricStats fabric;
 };
 

@@ -1,7 +1,6 @@
 #include "xemem/kernel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 
 #include "common/log.hpp"
@@ -12,11 +11,11 @@ namespace xemem {
 namespace {
 // Globally unique request ids, kept collision-free even before enclaves
 // hold ids (server-side dedup caches key on req_id alone, so per-kernel
-// namespacing is not enough). Atomic because the parallel engine mints
-// ids from several partition workers at once; the id *values* are not
-// part of the determinism contract — they never reach Stats, timing, or
-// dedup ordering — only their uniqueness matters.
-std::atomic<u64> g_req_counter{1};
+// namespacing is not enough). The counter spans every run in the
+// process, so the id *values* are not part of the determinism contract —
+// they never reach Stats, timing, or dedup ordering — only their
+// uniqueness matters.
+u64 g_req_counter{1};
 
 // Response command correlated to a request command (for rejections built
 // before the request is dispatched, e.g. the stale-epoch guard).

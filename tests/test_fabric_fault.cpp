@@ -13,8 +13,6 @@
 namespace xemem::net {
 namespace {
 
-using sim::EngineKind;
-
 u64 mix(u64 h, u64 v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;
@@ -415,9 +413,9 @@ TEST(FabricFault, NoDoubleCountAgainstKernelStats) {
       << "fabric retransmits must never bleed into kernel retry counters";
 }
 
-// --------------------------------------------- multinode kill equivalence
+// ------------------------------------------------------- multinode kill
 
-TEST(FabricFault, MultinodeKillSerialVsParallelBitIdentical) {
+TEST(FabricFault, MultinodeKillLeavesSurvivorsRebuilt) {
   workloads::MultinodeParams p;
   p.nodes = 3;
   p.ranks_per_node = 2;
@@ -431,22 +429,11 @@ TEST(FabricFault, MultinodeKillSerialVsParallelBitIdentical) {
   p.kill_time_ns = static_cast<u64>(base.sim_ms * 1e6 * 0.5);
   ASSERT_GT(p.kill_time_ns, 0u);
 
-  p.kind = EngineKind::serial;
-  p.workers = 1;
   const auto a = workloads::run_multinode_collectives(p);
-  p.kind = EngineKind::parallel;
-  p.workers = 2;
-  const auto b = workloads::run_multinode_collectives(p);
 
   EXPECT_EQ(a.survivors, 2u);
-  EXPECT_EQ(b.survivors, 2u);
   EXPECT_GE(a.fabric.rebuilds, 2u);
   EXPECT_TRUE(a.clean);
-  EXPECT_TRUE(b.clean);
-  EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_EQ(a.sim_ms, b.sim_ms);
-  EXPECT_EQ(fold(a.fabric), fold(b.fabric))
-      << "drained fabric counters are part of the determinism contract";
 }
 
 TEST(FabricFault, MultinodeIocacheKillTakesOverNameService) {

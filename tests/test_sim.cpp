@@ -3,7 +3,6 @@
 // and the processor-sharing bandwidth model.
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
 #include "common/units.hpp"
@@ -375,114 +374,47 @@ TEST(Engine, EventsProcessedCountsExecutionsNotSchedules) {
   EXPECT_EQ(eng.events_processed(), 4u);  // 2 spawns + 2 delay resumes
 }
 
-TEST(Engine, SerialAndParallelAgreeOnSingleRun) {
-  // A single-partition parallel run must execute the bit-identical
-  // schedule of the serial engine: same event count, same final clock,
-  // same result, same RNG stream.
-  auto run_one = [](EngineKind kind) {
-    Engine eng(99, kind, 1);
-    std::vector<u64> draws;
-    auto actor = [&](Duration d) -> Task<void> {
-      co_await delay(d);
-      draws.push_back(Engine::current()->rng().next());
-      co_await delay(d);
-      draws.push_back(Engine::current()->rng().next());
-    };
-    eng.spawn(actor(10_ns));
-    eng.spawn(actor(15_ns));
-    const u64 end = eng.run([]() -> Task<u64> {
-      co_await delay(40_ns);
-      co_return now();
-    }());
-    return std::tuple{end, eng.events_processed(), eng.events_scheduled(),
-                      draws};
-  };
-  EXPECT_EQ(run_one(EngineKind::serial), run_one(EngineKind::parallel));
-}
-
 TEST(Engine, PartitionsExposeTopology) {
-  Engine eng(1, EngineKind::parallel, 4);
+  Engine eng(1);
   EXPECT_EQ(eng.partitions(), 1u);
-  EXPECT_EQ(eng.workers(), 1u) << "workers never exceed partitions";
   eng.set_partitions(3, /*lookahead=*/1000);
   EXPECT_EQ(eng.partitions(), 3u);
   EXPECT_EQ(eng.lookahead(), 1000u);
-  EXPECT_EQ(eng.workers(), 3u);
   EXPECT_EQ(eng.current_partition(), 0u) << "partition 0 outside events";
 }
 
 TEST(Engine, SpawnInRunsActorInItsPartition) {
-  for (EngineKind kind : {EngineKind::serial, EngineKind::parallel}) {
-    Engine eng(5, kind, 2);
-    eng.set_partitions(2, /*lookahead=*/1_us);
-    u32 seen = ~0u;
-    auto probe = [&]() -> Task<void> {
-      seen = Engine::current()->current_partition();
-      co_return;
-    };
-    eng.spawn_in(1, probe());
-    eng.run([]() -> Task<void> { co_await delay(10_us); }());
-    EXPECT_EQ(seen, 1u);
-  }
+  Engine eng(5);
+  eng.set_partitions(2, /*lookahead=*/1_us);
+  u32 seen = ~0u;
+  auto probe = [&]() -> Task<void> {
+    seen = Engine::current()->current_partition();
+    co_return;
+  };
+  eng.spawn_in(1, probe());
+  eng.run([]() -> Task<void> { co_await delay(10_us); }());
+  EXPECT_EQ(seen, 1u);
 }
 
 TEST(Engine, CrossPartitionCallInHonorsLookahead) {
   // call_in past the lookahead window is the one legal cross-partition
   // edge; the callback executes in the target partition at the given time.
-  for (EngineKind kind : {EngineKind::serial, EngineKind::parallel}) {
-    Engine eng(5, kind, 2);
-    eng.set_partitions(2, /*lookahead=*/1_us);
-    u32 part = ~0u;
-    u64 when = 0;
-    auto sender = [&]() -> Task<void> {
-      auto* e = Engine::current();
-      e->call_in(0, e->now() + 2_us, [&] {
-        part = Engine::current()->current_partition();
-        when = Engine::current()->now();
-      });
-      co_return;
-    };
-    eng.spawn_in(1, sender());
-    eng.run([]() -> Task<void> { co_await delay(10_us); }());
-    EXPECT_EQ(part, 0u);
-    EXPECT_EQ(when, 2_us);
-  }
-}
-
-TEST(Engine, PublishedClocksResetAcrossRuns) {
-  // Regression: while a partition idles near the end of a run its
-  // published clock ratchets toward the busy partitions' progress. A
-  // second run on the same engine must not compute horizons from those
-  // stale-high clocks, or a receiver executes past a cross-partition
-  // delivery the idle partition will still send. One worker makes the
-  // visit order (p0, p1, p0, ...) — and thus the failure — deterministic.
-  Engine eng(5, EngineKind::parallel, 1);
-  eng.set_partitions(2, /*lookahead=*/100_us);
-
-  // Run 1: partition 0 advances to 2 ms while partition 1 stays at 0;
-  // partition 1's published clock ends up near 2 ms regardless.
-  eng.run([]() -> Task<void> { co_await delay(2_ms); }());
-
-  // Run 2: partition 1 sends a delivery into partition 0 at 2 ms + 2 us;
-  // partition 0 has its own local event at 2 ms + 5 us. The delivery must
-  // execute first even though partition 1's stale clock would have put
-  // partition 0's horizon far beyond both.
-  std::vector<u64> order;
+  Engine eng(5);
+  eng.set_partitions(2, /*lookahead=*/1_us);
+  u32 part = ~0u;
+  u64 when = 0;
   auto sender = [&]() -> Task<void> {
-    Engine::current()->call_in(0, 2_ms + 2_us, [&] {
-      order.push_back(Engine::current()->now());
+    auto* e = Engine::current();
+    e->call_in(0, e->now() + 2_us, [&] {
+      part = Engine::current()->current_partition();
+      when = Engine::current()->now();
     });
     co_return;
   };
   eng.spawn_in(1, sender());
-  eng.run([&]() -> Task<void> {
-    co_await delay(5_us);
-    order.push_back(Engine::current()->now());
-    co_await delay(1_ms);
-  }());
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2_ms + 2_us);
-  EXPECT_EQ(order[1], 2_ms + 5_us);
+  eng.run([]() -> Task<void> { co_await delay(10_us); }());
+  EXPECT_EQ(part, 0u);
+  EXPECT_EQ(when, 2_us);
 }
 
 }  // namespace
