@@ -76,6 +76,9 @@ if [[ $asan_only -eq 0 ]]; then
   run_timed "ablation_fabric_fault" \
     ./build/bench/ablation_fabric_fault --quick --json build/fabric_fault.json
   cp build/fabric_fault.json BENCH_fabric_fault.json
+
+  echo "== noise-profile paper bench smoke (lazy noise timeline) =="
+  run_timed "fig7_noise_profile" ./build/bench/fig7_noise_profile
 fi
 
 if [[ $fast -eq 0 ]]; then
@@ -105,6 +108,9 @@ if [[ $fast -eq 0 ]]; then
   echo "== fabric fault-injection ablation smoke (asan) =="
   run_timed "ablation_fabric_fault (asan)" \
     ./build-asan/bench/ablation_fabric_fault --quick --json build-asan/fabric_fault.json
+
+  echo "== noise-profile paper bench smoke (asan) =="
+  run_timed "fig7_noise_profile (asan)" ./build-asan/bench/fig7_noise_profile
 fi
 
 echo "all checks passed"

@@ -73,8 +73,9 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  /// Standard normal via Box–Muller (no cached second value; simplicity over
-  /// speed — noise draws are rare relative to simulation events).
+  /// Standard normal via Box–Muller. No cached second value: every call
+  /// consumes exactly two uniforms, so a noise stream's draws (and every
+  /// seeded result built on them) carry no hidden buffered state.
   double normal(double mu = 0.0, double sigma = 1.0) {
     double u1 = uniform();
     if (u1 <= 0.0) u1 = 0x1.0p-53;

@@ -8,9 +8,11 @@
 // higher run-to-run variance, attributed to the interference a fullweight
 // OS imposes on co-located workloads.
 //
-// Each noise component below is an independent event stream executed in
-// interrupt context on one core (see hw::Core), so noise automatically
-// steals time from whatever application compute is in flight there.
+// Each noise component below becomes an independent seeded stream of
+// interrupt-context handlers on one core. The core materializes the
+// stream lazily (see hw::Core::add_noise) rather than as engine events, so
+// noise steals time from whatever application compute is in flight there
+// at no event-loop cost.
 #pragma once
 
 #include <vector>
@@ -21,21 +23,6 @@
 #include "sim/engine.hpp"
 
 namespace xemem::hw {
-
-/// One recurring source of stolen CPU time on a core.
-struct NoiseComponent {
-  const char* name;
-  /// Mean inter-arrival time. Periodic sources use uniform jitter around
-  /// this; Poisson sources draw exponential inter-arrivals.
-  double period_ns;
-  /// For periodic sources: uniform jitter fraction (0.2 = +/-20%).
-  double period_jitter;
-  bool poisson_arrivals;
-  /// Event duration: lognormal with this median...
-  double duration_median_ns;
-  /// ...and this sigma (log-space). sigma 0 gives deterministic durations.
-  double duration_sigma;
-};
 
 /// A named set of components (an OS personality's noise signature).
 struct NoiseProfile {
@@ -102,36 +89,15 @@ inline NoiseProfile vm_linux_noise() {
       }};
 }
 
-namespace detail {
-
-inline sim::Task<void> noise_actor(Core* core, NoiseComponent c, Rng rng,
-                                   sim::TimePoint until) {
-  // Random initial phase so components do not all fire at t=0.
-  co_await sim::delay(static_cast<u64>(rng.uniform(0.0, c.period_ns)));
-  while (sim::now() < until) {
-    const double gap =
-        c.poisson_arrivals
-            ? rng.exponential(c.period_ns)
-            : c.period_ns * rng.uniform(1.0 - c.period_jitter, 1.0 + c.period_jitter);
-    co_await sim::delay(static_cast<u64>(std::max(gap, 1.0)));
-    if (sim::now() >= until) break;
-    const double dur =
-        c.duration_sigma == 0.0
-            ? c.duration_median_ns
-            : rng.lognormal(std::log(c.duration_median_ns), c.duration_sigma);
-    co_await core->run_irq(static_cast<u64>(std::max(dur, 1.0)));
-  }
-}
-
-}  // namespace detail
-
-/// Launch every component of @p profile on @p core until simulated time
-/// @p until (default: effectively forever — suspended actors are reclaimed
-/// at engine teardown).
-inline void spawn_noise(sim::Engine& eng, Core& core, const NoiseProfile& profile,
-                        Rng& parent_rng, sim::TimePoint until = ~u64{0}) {
+/// Attach every component of @p profile to @p core, one stream forked
+/// from @p parent_rng each, from @p eng's current time until simulated
+/// time @p until (default: forever). Streams schedule no engine events, so
+/// never-ending noise does not keep the event queue non-empty.
+inline void spawn_noise(const sim::Engine& eng, Core& core,
+                        const NoiseProfile& profile, Rng& parent_rng,
+                        sim::TimePoint until = ~u64{0}) {
   for (const auto& c : profile.components) {
-    eng.spawn(detail::noise_actor(&core, c, parent_rng.fork(), until));
+    core.add_noise(eng, c, parent_rng.fork(), until);
   }
 }
 
